@@ -30,6 +30,7 @@
 #include "serve/canon_store.h"
 #include "serve/http_client.h"
 #include "serve/json.h"
+#include "serve/response_cache.h"
 #include "serve/server.h"
 #include "serve/snapshot_io.h"
 
@@ -182,6 +183,15 @@ int Run() {
               store->np.surface_count(), store->np.cluster_count(),
               store->rp.surface_count(), store->rp.cluster_count(),
               build_seconds);
+
+  // ---- response arena -----------------------------------------------------
+  // The fragment arena every Publish pre-renders for this store: linear
+  // in surfaces + cluster members (docs/serving.md).
+  const ResponseCache arena_probe = BuildResponseCache(*store);
+  const size_t arena_bytes = arena_probe.arena_bytes();
+  const size_t arena_entries = arena_probe.entry_count();
+  std::printf("response arena: %zu bytes for %zu pre-rendered answers\n",
+              arena_bytes, arena_entries);
 
   // ---- snapshot round trip ------------------------------------------------
   Stopwatch save_watch;
@@ -402,6 +412,7 @@ int Run() {
       RunKeepAlivePhase(server.port(), targets, 16, kKeepAlivePerClient);
   publishing.store(false);
   publisher.join();
+  const double publish_p50 = Percentile(publish_ms, 50.0);
   const double publish_p99 = Percentile(publish_ms, 99.0);
   const double publish_max =
       publish_ms.empty()
@@ -411,8 +422,8 @@ int Run() {
              churn_phase);
   PrintPhase("http under churn (keep-alive, 16 clients)", keepalive_churn);
   std::printf("churn publisher: %zu publishes (cache pre-render included), "
-              "p99 %.4fms max %.4fms\n",
-              publish_ms.size(), publish_p99, publish_max);
+              "p50 %.4fms p99 %.4fms max %.4fms\n",
+              publish_ms.size(), publish_p50, publish_p99, publish_max);
   if (churn_phase.errors > 0) ++failures;
   if (keepalive_churn.errors > 0) ++failures;
   const ServeCounters counters = server.counters();
@@ -445,6 +456,10 @@ int Run() {
                store->np.surface_count(), store->np.cluster_count(),
                store->rp.surface_count(), store->rp.cluster_count(),
                build_seconds);
+  std::fprintf(out,
+               "  \"response_cache\": {\"arena_bytes\": %zu, \"entries\": "
+               "%zu},\n",
+               arena_bytes, arena_entries);
   std::fprintf(out,
                "  \"snapshot\": {\"bytes\": %zu, \"serialize_seconds\": "
                "%.5f, \"load_seconds\": %.5f, \"round_trip_identical\": "
@@ -483,10 +498,11 @@ int Run() {
                "  \"http_under_churn\": {\"clients\": %zu, \"requests\": "
                "%zu, \"errors\": %zu, \"qps\": %.1f, \"p50_ms\": %.4f, "
                "\"p99_ms\": %.4f, \"publishes\": %zu, "
-               "\"publish_p99_ms\": %.5f, \"publish_max_ms\": %.5f},\n",
+               "\"publish_p50_ms\": %.5f, \"publish_p99_ms\": %.5f, "
+               "\"publish_max_ms\": %.5f},\n",
                kClients, churn_phase.requests, churn_phase.errors,
                churn_phase.qps, churn_phase.p50_ms, churn_phase.p99_ms,
-               publish_ms.size(), publish_p99, publish_max);
+               publish_ms.size(), publish_p50, publish_p99, publish_max);
   EmitPhase(out, "keepalive_under_churn", 16, keepalive_churn, true);
   std::fprintf(out,
                "  \"metrics_overhead\": {\"metrics_on_qps\": %.1f, "

@@ -45,6 +45,18 @@ ssize_t GatherWrite(int fd, iovec* iov, int iovcnt) {
 
 }  // namespace
 
+int FillCachedIovec(const CachedResponse& cached,
+                    std::string_view connection_tail, iovec* iov) {
+  const auto set = [iov](size_t i, std::string_view piece) {
+    iov[i].iov_base = const_cast<char*>(piece.data());
+    iov[i].iov_len = piece.size();
+  };
+  set(0, cached.pieces[0]);
+  set(1, connection_tail);
+  for (size_t i = 1; i < cached.count; ++i) set(i + 1, cached.pieces[i]);
+  return static_cast<int>(cached.count + 1);
+}
+
 std::string ErrorBody(std::string_view message) {
   std::string out = "{\"error\":";
   AppendJsonString(&out, message);
@@ -449,10 +461,9 @@ bool EventHttpServer::ServeRequest(EventThread* et, int fd, Conn* conn,
 
   HttpReply reply;
   HandleRequest(request, et->context.get(), &reply);
-  if (!reply.cached_header.empty()) {
+  if (reply.cached.count > 0) {
     CountStatus(200);
-    SendCached(et, fd, conn, reply.cached_header, reply.cached_body,
-               request.keep_alive);
+    SendCached(et, fd, conn, reply.cached, request.keep_alive);
   } else {
     CountStatus(reply.status);
     SendRendered(et, fd, conn, reply.status, reply.body, reply.extra_headers,
@@ -468,17 +479,12 @@ bool EventHttpServer::ServeRequest(EventThread* et, int fd, Conn* conn,
 }
 
 void EventHttpServer::SendCached(EventThread* et, int fd, Conn* conn,
-                                 std::string_view header,
-                                 std::string_view body, bool keep_alive) {
-  const std::string_view tail = keep_alive ? kKeepAliveTail : kCloseTail;
-  iovec iov[3];
-  iov[0].iov_base = const_cast<char*>(header.data());
-  iov[0].iov_len = header.size();
-  iov[1].iov_base = const_cast<char*>(tail.data());
-  iov[1].iov_len = tail.size();
-  iov[2].iov_base = const_cast<char*>(body.data());
-  iov[2].iov_len = body.size();
-  QueueOrSend(et, fd, conn, iov, 3);
+                                 const CachedResponse& cached,
+                                 bool keep_alive) {
+  iovec iov[kCachedIovecs];
+  const int iovcnt = FillCachedIovec(
+      cached, keep_alive ? kKeepAliveTail : kCloseTail, iov);
+  QueueOrSend(et, fd, conn, iov, iovcnt);
 }
 
 void EventHttpServer::SendRendered(EventHttpServer::EventThread* et, int fd,

@@ -74,15 +74,26 @@ struct ServeCounters {
 /// The uniform JSON error body: `{"error":"<message>"}`.
 std::string ErrorBody(std::string_view message);
 
+/// Entries `FillCachedIovec` may fill: every piece plus the tail.
+inline constexpr size_t kCachedIovecs = CachedResponse::kMaxPieces + 1;
+
+/// \brief The gather list of one cached response: its head, then
+/// \p connection_tail (the request's `Connection:` line and the blank
+/// line), then the body pieces. \p iov must hold `kCachedIovecs`
+/// entries; returns how many it filled. Allocation-free — the
+/// `SendCached` half of the hot path.
+int FillCachedIovec(const CachedResponse& cached,
+                    std::string_view connection_tail, iovec* iov);
+
 /// \brief One response from a request handler, in one of two shapes.
 ///
 /// Rendered (the default): `status` + `body`, written with a freshly
 /// built head; `extra_headers` carries additional `Key: value\r\n`
-/// lines (e.g. `X-Jocl-Generation`). Cached: when `cached_header` is
-/// non-empty the reply is pre-rendered header + body views written
-/// zero-copy (the PR 7 writev path); `pin` keeps whatever arena they
-/// point into alive until the write is queued, and `status` must stay
-/// 200 (cached entries are only ever successful responses).
+/// lines (e.g. `X-Jocl-Generation`). Cached: when `cached.count` is
+/// non-zero the reply is a pre-rendered head + body pieces, gathered
+/// into one zero-copy `sendmsg`; `pin` keeps whatever arena they point
+/// into alive until the write is queued, and `status` must stay 200
+/// (cached entries are only ever successful responses).
 struct HttpReply {
   int status = 200;
   std::string body;
@@ -90,8 +101,7 @@ struct HttpReply {
   /// Content-Type of a rendered reply; empty = application/json (the
   /// default everywhere but `/metrics`, which is Prometheus text).
   std::string content_type;
-  std::string_view cached_header;
-  std::string_view cached_body;
+  CachedResponse cached;
   std::shared_ptr<const void> pin;
 };
 
@@ -209,8 +219,7 @@ class EventHttpServer {
   bool ServeRequest(EventThread* et, int fd, Conn* conn,
                     std::string_view head);
   void SendCached(EventThread* et, int fd, Conn* conn,
-                  std::string_view header, std::string_view body,
-                  bool keep_alive);
+                  const CachedResponse& cached, bool keep_alive);
   void SendRendered(EventThread* et, int fd, Conn* conn, int http_status,
                     std::string_view body, std::string_view extra_headers,
                     std::string_view content_type, bool keep_alive);

@@ -74,6 +74,23 @@ struct RequestHead {
 /// unless `Connection: keep-alive`.
 RequestHead ParseRequestHead(std::string_view head);
 
+/// \brief A pre-rendered 200 response as a short list of views, written
+/// with one gather `sendmsg` and never copied on the hot path.
+///
+/// `pieces[0]` is the status line + headers, through the CRLF after the
+/// last header (no blank line): the event loop inserts the per-request
+/// `Connection:` tail after it. `pieces[1..count)` are the body in
+/// order. Every view points into storage that outlives the write — a
+/// response arena pinned by the reply, or static text. Fixed capacity,
+/// so filling one never allocates.
+struct CachedResponse {
+  static constexpr size_t kMaxPieces = 8;
+  std::string_view pieces[kMaxPieces];
+  size_t count = 0;  ///< 0 = no cached response
+
+  void Append(std::string_view piece) { pieces[count++] = piece; }
+};
+
 /// \brief Case-insensitive header lookup over a raw header block
 /// (everything after the request/status line). Returns the trimmed
 /// value view, or an empty view with found=false.

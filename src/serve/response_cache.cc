@@ -1,34 +1,37 @@
 #include "serve/response_cache.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "serve/http_client.h"
-#include "serve/http_util.h"
-#include "serve/server.h"
+#include "serve/canon_json.h"
 
 namespace jocl {
 namespace {
 
-/// The arena entry layout shared with the fallback renderer: status
-/// line + fixed headers + Content-Length + the store's generation,
-/// stopping before the Connection line so the event loop can finish the
-/// head per request.
+/// The head of a cached 200, byte-equal to the one the event loop
+/// writes for a rendered 200: status line + fixed headers +
+/// Content-Length + the store's generation, stopping before the
+/// Connection line so the event loop can finish the head per request.
 void AppendResponseHead(std::string* arena, size_t body_len,
-                        uint64_t generation) {
+                        std::string_view generation_line) {
   arena->append("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
                 "Content-Length: ");
-  arena->append(std::to_string(body_len));
-  arena->append("\r\nX-Jocl-Generation: ");
-  arena->append(std::to_string(generation));
-  arena->append("\r\n");
+  AppendDecimal(arena, body_len);
+  arena->append(generation_line);
 }
 
-const char* KindQuerySuffix(CanonKind kind) {
-  return kind == CanonKind::kNp ? "&kind=np" : "&kind=rp";
+bool GathersClusters(size_t clusters) {
+  return clusters <= ResponseCache::kMaxGatheredClusters;
 }
 
 }  // namespace
+
+void ResponseCache::Begin(const Entry& entry, Hit* hit) const {
+  hit->count = 0;
+  hit->Append(View(entry.offset, entry.header_len));
+  if (entry.body_len > 0) {
+    hit->Append(View(entry.offset + entry.header_len, entry.body_len));
+  }
+}
 
 int64_t ResponseCache::FindSurfaceId(const KindCache& kind,
                                      std::string_view surface) const {
@@ -85,7 +88,6 @@ bool ResponseCache::Find(std::string_view method, std::string_view target,
   }
   const KindCache& kc = kinds_[static_cast<size_t>(kind)];
 
-  const Slice* slice = nullptr;
   if (role == Role::kCluster) {
     std::string_view raw_id;
     if (FindQueryValue(query, "id", &raw_id) != QueryScan::kFound ||
@@ -100,29 +102,43 @@ bool ResponseCache::Find(std::string_view method, std::string_view target,
     }
     // Targets carry global ids; on a shard the global map takes them to
     // the local slice index.
-    const int64_t local =
-        store_->FindClusterByGlobalId(kind, id);
+    const int64_t local = store_->FindClusterByGlobalId(kind, id);
     if (local < 0 || static_cast<size_t>(local) >= kc.cluster.size()) {
       return false;  // fallback renders the 404
     }
-    slice = &kc.cluster[static_cast<size_t>(local)];
-  } else {
-    std::string_view raw_surface;
-    if (FindQueryValue(query, "surface", &raw_surface) != QueryScan::kFound) {
-      return false;
-    }
-    std::string_view surface;
-    if (!UrlDecodeInto(raw_surface, scratch, scratch_cap, &surface)) {
-      return false;
-    }
-    const int64_t id = FindSurfaceId(kc, surface);
-    if (id < 0) return false;  // unknown surface: fallback renders the 404
-    slice = role == Role::kLookup
-                ? &kc.lookup[static_cast<size_t>(id)]
-                : &kc.link[static_cast<size_t>(id)];
+    const size_t c = static_cast<size_t>(local);
+    Begin(kc.cluster[c], hit);
+    hit->Append(ClusterPrefix(kind));
+    hit->Append(View(kc.cluster_json[c].offset, kc.cluster_json[c].len));
+    hit->Append(kClusterSuffix);
+    return true;
   }
-  if (slice->header_len == 0) return false;
-  *hit = Materialize(*slice);
+  std::string_view raw_surface;
+  if (FindQueryValue(query, "surface", &raw_surface) != QueryScan::kFound) {
+    return false;
+  }
+  std::string_view surface;
+  if (!UrlDecodeInto(raw_surface, scratch, scratch_cap, &surface)) {
+    return false;
+  }
+  const int64_t id = FindSurfaceId(kc, surface);
+  if (id < 0) return false;  // unknown surface: fallback renders the 404
+  const size_t s = static_cast<size_t>(id);
+  if (role == Role::kLink) {
+    Begin(kc.link[s], hit);
+    return true;
+  }
+  Begin(kc.lookup[s], hit);
+  const ConstSpan<uint32_t> clusters = store_->ClustersOf(kind, s);
+  if (!GathersClusters(clusters.size())) return true;  // contiguous body
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    const ClusterSlice& slice = kc.cluster_json[clusters[i]];
+    // Past the first position the slice starts one byte early, at the
+    // ',' rendered in front of every cluster object.
+    hit->Append(i == 0 ? View(slice.offset, slice.len)
+                       : View(slice.offset - 1, slice.len + 1));
+  }
+  hit->Append(kLookupSuffix);
   return true;
 }
 
@@ -130,46 +146,66 @@ ResponseCache BuildResponseCache(const CanonStore& store) {
   ResponseCache cache;
   cache.store_ = &store;
   std::string& arena = cache.arena_;
-  const ServeCounters no_counters;
+  std::string generation_line = "\r\nX-Jocl-Generation: ";
+  AppendDecimal(&generation_line, store.generation);
+  generation_line.append("\r\n");
+  // Writes one entry: head for a body of `body_len` bytes, followed by
+  // the `own` bytes the entry carries itself.
+  const auto append_entry = [&](size_t body_len, std::string_view own,
+                                ResponseCache::Entry* entry) {
+    entry->offset = arena.size();
+    AppendResponseHead(&arena, body_len, generation_line);
+    entry->header_len = static_cast<uint32_t>(arena.size() - entry->offset);
+    arena.append(own);
+    entry->body_len = static_cast<uint32_t>(own.size());
+  };
+  std::string body;  // scratch for the bytes an entry owns
   for (CanonKind kind : {CanonKind::kNp, CanonKind::kRp}) {
     const CanonSection& section = store.section(kind);
-    ResponseCache::KindCache& kc =
-        cache.kinds_[static_cast<size_t>(kind)];
+    ResponseCache::KindCache& kc = cache.kinds_[static_cast<size_t>(kind)];
     kc.surface_ids = section.surface_order;
     kc.surface_keys.reserve(kc.surface_ids.size());
     for (uint32_t surface : kc.surface_ids) {
       kc.surface_keys.push_back(store.SurfaceText(kind, surface));
     }
+
+    // Every cluster object, rendered once, each behind its list comma.
+    kc.cluster_json.resize(section.cluster_count());
+    for (size_t c = 0; c < section.cluster_count(); ++c) {
+      arena.push_back(',');
+      ResponseCache::ClusterSlice& slice = kc.cluster_json[c];
+      slice.offset = arena.size();
+      AppendClusterJson(&arena, store, kind, c);
+      slice.len = static_cast<uint32_t>(arena.size() - slice.offset);
+    }
+    kc.cluster.resize(section.cluster_count());
+    for (size_t c = 0; c < section.cluster_count(); ++c) {
+      append_entry(ClusterPrefix(kind).size() + kc.cluster_json[c].len +
+                       kClusterSuffix.size(),
+                   {}, &kc.cluster[c]);
+    }
+
     kc.lookup.resize(section.surface_count());
     kc.link.resize(section.surface_count());
-    kc.cluster.resize(section.cluster_count());
-
-    auto render = [&](const std::string& target,
-                      ResponseCache::Slice* slice) {
-      int status = 0;
-      const std::string body =
-          HandleCanonRequest(&store, "GET", target, no_counters, &status);
-      if (status != 200) return;  // leave the slice empty: always a miss
-      slice->offset = arena.size();
-      AppendResponseHead(&arena, body.size(), store.generation);
-      slice->header_len = static_cast<uint32_t>(arena.size() - slice->offset);
-      arena.append(body);
-      slice->body_len = static_cast<uint32_t>(body.size());
-    };
-
     for (size_t s = 0; s < section.surface_count(); ++s) {
-      const std::string encoded =
-          UrlEncode(store.SurfaceText(kind, s)) + KindQuerySuffix(kind);
-      render("/lookup?surface=" + encoded, &kc.lookup[s]);
-      render("/link?surface=" + encoded, &kc.link[s]);
-    }
-    for (size_t c = 0; c < section.cluster_count(); ++c) {
-      // Targets speak global ids, matching what clients (and the
-      // router) actually request against a shard.
-      render("/cluster?id=" +
-                 std::to_string(store.GlobalClusterId(kind, c)) +
-                 KindQuerySuffix(kind),
-             &kc.cluster[c]);
+      const ConstSpan<uint32_t> clusters = store.ClustersOf(kind, s);
+      body.clear();
+      size_t body_len = 0;
+      if (GathersClusters(clusters.size())) {
+        AppendLookupPrefix(&body, store, kind, s);
+        body_len = body.size() + kLookupSuffix.size();
+        for (size_t i = 0; i < clusters.size(); ++i) {
+          body_len += kc.cluster_json[clusters[i]].len + (i > 0 ? 1 : 0);
+        }
+      } else {
+        AppendLookupBody(&body, store, kind, s);
+        body_len = body.size();
+      }
+      append_entry(body_len, body, &kc.lookup[s]);
+
+      body.clear();
+      AppendLinkBody(&body, store, kind, s);
+      append_entry(body.size(), body, &kc.link[s]);
     }
   }
   return cache;

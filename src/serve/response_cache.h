@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/canon_store.h"
+#include "serve/http_util.h"
 
 namespace jocl {
 
@@ -23,32 +24,45 @@ struct SvLess {
 };
 
 /// \brief Pre-rendered HTTP responses for every hot endpoint of one
-/// CanonStore generation — the serving hot path's answer arena.
+/// CanonStore generation — the serving hot path's fragment arena.
 ///
-/// Built alongside the store by `BuildResponseCache`: for every surface
-/// of each kind the full `/lookup` and `/link` responses, and for every
-/// cluster the `/cluster` response, rendered once into a flat arena.
-/// Each entry stores the complete status line + headers (without the
-/// final `Connection:` line, which the event loop injects per request)
-/// followed by the body, so answering a request is
-/// parse → binary-search → `writev` — zero JSON work, zero allocation.
+/// Built alongside the store by `BuildResponseCache`. Each cluster's
+/// JSON object is rendered exactly once; the answers then gather shared
+/// fragments instead of each owning a copy:
 ///
-/// Bodies are produced by the exact same renderer the fallback path
-/// uses (`HandleCanonRequest`), so a cached response is byte-identical
-/// to a freshly rendered one for the same store generation. The cache
-/// references the store's text pool for its key index; it must not
-/// outlive the store it was built from — `ServingBundle` couples the
-/// two lifetimes and the server swaps the bundle under one RCU pointer
-/// so a reader can never pair a cached body with a mismatched
-/// generation.
+///   - `/lookup`: head + surface prefix + the surface's cluster slices
+///     (shared with every other member) + `]}`;
+///   - `/cluster`: head + `{"kind":…,"cluster":` + the same shared
+///     slice + `}`;
+///   - `/link`: head + body, contiguous (both are small).
+///
+/// So the arena is O(surfaces + members) rather than O(Σ|cluster|²). A
+/// surface in more than `kMaxGatheredClusters` clusters (rare: a surface
+/// decodes to one cluster in practice) gets its `/lookup` body written
+/// contiguously instead, keeping every hit within the fixed piece
+/// capacity of `CachedResponse`. A head is the complete status line +
+/// headers without the final `Connection:` line, which the event loop
+/// injects per request; answering a request is parse → binary-search →
+/// one gather `sendmsg` — zero JSON work, zero allocation.
+///
+/// Every fragment comes from the writers the fallback renderer
+/// (`HandleCanonRequest`) also uses (serve/canon_json.h), so a cached
+/// response is byte-identical to a freshly rendered one by
+/// construction. The cache reads the store's text pool (key index) and
+/// cluster lists on the hot path; it must not outlive the store it was
+/// built from — `ServingBundle` couples the two lifetimes and the
+/// server swaps the bundle under one RCU pointer so a reader can never
+/// pair a cached body with a mismatched generation.
 class ResponseCache {
  public:
-  /// A cache hit: views into the arena, valid as long as the cache.
-  struct Hit {
-    std::string_view header;  ///< status line + headers, through the
-                              ///< CRLF after Content-Length (no blank line)
-    std::string_view body;
-  };
+  /// A cache hit: views into the arena (or static text), valid as long
+  /// as the cache.
+  using Hit = CachedResponse;
+
+  /// Most clusters a `/lookup` hit gathers as shared slices: head,
+  /// surface prefix and `]}` take the other pieces.
+  static constexpr size_t kMaxGatheredClusters =
+      CachedResponse::kMaxPieces - 3;
 
   /// Zero-allocation hot-path lookup. \p target is the raw request
   /// target (`/lookup?surface=...`); percent-escapes decode into
@@ -72,11 +86,22 @@ class ResponseCache {
  private:
   friend ResponseCache BuildResponseCache(const CanonStore& store);
 
-  /// Offsets of one pre-rendered response inside the arena.
-  struct Slice {
+  /// One response's own bytes in the arena: its head, then `body_len`
+  /// contiguous body bytes (the whole body of a `/link` or a wide
+  /// `/lookup`; the surface prefix of a gathered `/lookup`; none for
+  /// `/cluster`).
+  struct Entry {
     uint64_t offset = 0;
     uint32_t header_len = 0;
     uint32_t body_len = 0;
+  };
+
+  /// One cluster's JSON object in the arena. The byte before `offset`
+  /// is the `,` a non-first position of a `/lookup` list needs, so both
+  /// forms are one view.
+  struct ClusterSlice {
+    uint64_t offset = 0;
+    uint32_t len = 0;
   };
 
   struct KindCache {
@@ -84,33 +109,35 @@ class ResponseCache {
     /// flat-map side of the SvLess idiom; parallel to surface_ids.
     std::vector<std::string_view> surface_keys;
     std::vector<uint32_t> surface_ids;
-    std::vector<Slice> lookup;   ///< by surface id
-    std::vector<Slice> link;     ///< by surface id
-    std::vector<Slice> cluster;  ///< by cluster id
+    std::vector<Entry> lookup;                 ///< by surface id
+    std::vector<Entry> link;                   ///< by surface id
+    std::vector<Entry> cluster;                ///< by cluster id
+    std::vector<ClusterSlice> cluster_json;    ///< by cluster id
   };
 
-  Hit Materialize(const Slice& slice) const {
-    return Hit{std::string_view(arena_.data() + slice.offset,
-                                slice.header_len),
-               std::string_view(arena_.data() + slice.offset +
-                                    slice.header_len,
-                                slice.body_len)};
+  std::string_view View(uint64_t offset, size_t len) const {
+    return std::string_view(arena_.data() + offset, len);
   }
+
+  /// Starts \p hit with \p entry's head and its own body bytes, if any.
+  void Begin(const Entry& entry, Hit* hit) const;
 
   /// -1 when the surface is not in this generation.
   int64_t FindSurfaceId(const KindCache& kind, std::string_view surface) const;
 
   std::string arena_;
   KindCache kinds_[2];  ///< indexed by CanonKind
-  /// The store the cache was rendered from (global→local cluster id
-  /// mapping on the hot path). Same lifetime rule as the arena's key
-  /// views: the bundle keeps store and cache together.
+  /// The store the cache was rendered from (global→local cluster ids
+  /// and each surface's cluster list on the hot path). Same lifetime
+  /// rule as the arena's key views: the bundle keeps store and cache
+  /// together.
   const CanonStore* store_ = nullptr;
 };
 
 /// \brief Renders the hot-endpoint responses of \p store into a fresh
-/// cache. Deterministic; cost is proportional to the store's JSON
-/// volume and is paid on the publisher thread, never by readers.
+/// cache. Deterministic; cost and arena size are linear in the store
+/// (surfaces + cluster members), paid on the publisher thread, never by
+/// readers.
 ResponseCache BuildResponseCache(const CanonStore& store);
 
 /// \brief One RCU publication unit: the store and the responses

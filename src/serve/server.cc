@@ -3,16 +3,12 @@
 #include <cstdlib>
 #include <utility>
 
+#include "serve/canon_json.h"
 #include "serve/http_util.h"
 #include "serve/json.h"
-#include "util/ids.h"
 
 namespace jocl {
 namespace {
-
-const char* KindName(CanonKind kind) {
-  return kind == CanonKind::kNp ? "np" : "rp";
-}
 
 /// Parses the `kind` parameter; defaults to NP. Returns false on an
 /// unknown value.
@@ -27,40 +23,6 @@ bool ParseKind(const QueryParams& query, CanonKind* kind) {
     return true;
   }
   return false;
-}
-
-void AppendLinkJson(std::string* out, const CanonStore& store, CanonKind kind,
-                    size_t cluster) {
-  const int64_t link = store.ClusterLink(kind, cluster);
-  if (link == kNilId) {
-    out->append("null");
-    return;
-  }
-  out->append("{\"id\":");
-  out->append(std::to_string(link));
-  out->append(",\"name\":");
-  AppendJsonString(out, store.ClusterLinkName(kind, cluster));
-  out->append(",\"votes\":");
-  out->append(
-      std::to_string(store.section(kind).cluster_link_votes[cluster]));
-  out->push_back('}');
-}
-
-void AppendClusterJson(std::string* out, const CanonStore& store,
-                       CanonKind kind, size_t cluster) {
-  ConstSpan<uint32_t> members = store.ClusterMembers(kind, cluster);
-  out->append("{\"id\":");
-  out->append(std::to_string(store.GlobalClusterId(kind, cluster)));
-  out->append(",\"size\":");
-  out->append(std::to_string(members.size()));
-  out->append(",\"members\":[");
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (i > 0) out->push_back(',');
-    AppendJsonString(out, store.SurfaceText(kind, members[i]));
-  }
-  out->append("],\"link\":");
-  AppendLinkJson(out, store, kind, cluster);
-  out->push_back('}');
 }
 
 std::string HandleLookup(const CanonStore& store, const QueryParams& query,
@@ -85,33 +47,13 @@ std::string HandleLookup(const CanonStore& store, const QueryParams& query,
     out.append("\"}");
     return out;
   }
-  const size_t s = static_cast<size_t>(id);
   *http_status = 200;
-  std::string out = "{\"surface\":";
-  AppendJsonString(&out, *surface);
-  out.append(",\"kind\":\"");
-  out.append(KindName(kind));
-  out.append("\",\"surface_id\":");
-  out.append(std::to_string(store.GlobalSurfaceId(kind, s)));
-  ConstSpan<uint32_t> clusters = store.ClustersOf(kind, s);
+  std::string out;
   if (link_only) {
-    out.append(",\"link\":");
-    if (clusters.empty()) {
-      out.append("null");
-    } else {
-      AppendLinkJson(&out, store, kind, clusters[0]);
-    }
+    AppendLinkBody(&out, store, kind, static_cast<size_t>(id));
   } else {
-    out.append(",\"mentions\":");
-    out.append(std::to_string(store.MentionCount(kind, s)));
-    out.append(",\"clusters\":[");
-    for (size_t i = 0; i < clusters.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      AppendClusterJson(&out, store, kind, clusters[i]);
-    }
-    out.push_back(']');
+    AppendLookupBody(&out, store, kind, static_cast<size_t>(id));
   }
-  out.push_back('}');
   return out;
 }
 
@@ -138,11 +80,8 @@ std::string HandleCluster(const CanonStore& store, const QueryParams& query,
     return ErrorBody("cluster id out of range");
   }
   *http_status = 200;
-  std::string out = "{\"kind\":\"";
-  out.append(KindName(kind));
-  out.append("\",\"cluster\":");
-  AppendClusterJson(&out, store, kind, static_cast<size_t>(local));
-  out.push_back('}');
+  std::string out;
+  AppendClusterBody(&out, store, kind, static_cast<size_t>(local));
   return out;
 }
 
@@ -256,6 +195,12 @@ CanonServer::CanonServer(ServeOptions options)
       "jocl_generation", "", "Generation of the served store (-1 before "
                              "the first publish)");
   generation_->Set(-1);
+  publish_seconds_ = registry.AddHistogram(
+      "jocl_publish_seconds", "",
+      "Publish wall time: response pre-render plus the bundle swap");
+  arena_bytes_ = registry.AddGauge(
+      "jocl_response_arena_bytes", "",
+      "Bytes of the served generation's pre-rendered response arena");
 }
 
 CanonServer::~CanonServer() {
@@ -265,6 +210,7 @@ CanonServer::~CanonServer() {
 }
 
 void CanonServer::Publish(std::shared_ptr<const CanonStore> store) {
+  const uint64_t start_ns = MonotonicNanos();
   std::shared_ptr<const ServingBundle> bundle;
   if (store != nullptr) {
     auto fresh = std::make_shared<ServingBundle>();
@@ -279,7 +225,11 @@ void CanonServer::Publish(std::shared_ptr<const CanonStore> store) {
   }
   const bool live = bundle != nullptr;
   const int64_t generation = live ? bundle->store->generation : -1;
+  const int64_t arena_bytes =
+      live ? static_cast<int64_t>(bundle->cache.arena_bytes()) : 0;
   std::atomic_store(&bundle_, std::move(bundle));
+  publish_seconds_->Record(MonotonicNanos() - start_ns);
+  arena_bytes_->Set(arena_bytes);
   publishes_->Add();
   published_->Set(live ? 1 : 0);
   generation_->Set(generation);
@@ -322,12 +272,9 @@ void CanonServer::HandleRequest(const RequestHead& request,
       std::atomic_load(&bundle_);
   if (bundle != nullptr && bundle->has_cache) {
     char scratch[2048];
-    ResponseCache::Hit hit;
     if (bundle->cache.Find(request.method, request.target, scratch,
-                           sizeof(scratch), &hit)) {
+                           sizeof(scratch), &reply->cached)) {
       cache_hits_->Add();
-      reply->cached_header = hit.header;
-      reply->cached_body = hit.body;
       reply->pin = bundle;  // arena views stay valid through the write
       return;
     }

@@ -19,8 +19,9 @@ namespace jocl {
 /// `/link?surface=...`, `/stats`) against an immutable store and returns
 /// the JSON body. \p store may be null (not published yet — 503 for data
 /// endpoints, zeroed `/stats`). Sets \p http_status to the response
-/// code. Exposed separately so tests can drive routing without sockets
-/// and `BuildResponseCache` can pre-render byte-identical bodies.
+/// code. Exposed separately so tests can drive routing without sockets;
+/// it is also the oracle the pre-rendered cache is checked against
+/// (both build 200 bodies from the writers in serve/canon_json.h).
 ///
 /// Surface and cluster ids in responses are always **global** (monolith)
 /// ids — on a shard store they go through the section's global maps —
@@ -42,8 +43,8 @@ std::string HandleCanonRequest(const CanonStore* store,
 /// publication** (read-copy-update), and because body arena and store
 /// travel together a reader can never pair a cached body with a
 /// mismatched generation. The steady-state hot path is
-/// parse → binary-search → `writev` of precomputed header + body —
-/// zero allocation, zero JSON work.
+/// parse → binary-search → one gather write of the precomputed head and
+/// the shared body fragments — zero allocation, zero JSON work.
 ///
 /// Every response rendered from a published store carries an
 /// `X-Jocl-Generation` header — the router and the distributed tests
@@ -87,6 +88,8 @@ class CanonServer : public EventHttpServer {
   Counter* cache_misses_ = nullptr;
   Gauge* published_ = nullptr;
   Gauge* generation_ = nullptr;
+  Histogram* publish_seconds_ = nullptr;
+  Gauge* arena_bytes_ = nullptr;
 };
 
 }  // namespace jocl

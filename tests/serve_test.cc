@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -30,6 +34,7 @@
 #include "serve/json.h"
 #include "serve/response_cache.h"
 #include "serve/server.h"
+#include "serve/shard_store.h"
 #include "serve/snapshot_io.h"
 
 // ---------- heap-allocation probe (zero-alloc acceptance) --------------------
@@ -543,6 +548,13 @@ TEST_F(ServeWorld, MetricsEndpointExposesPrometheusFamilies) {
   // Store gauges: the published generation is 7 in this world.
   EXPECT_NE(body.find("jocl_generation 7\n"), std::string::npos) << body;
   EXPECT_NE(body.find("jocl_published 1\n"), std::string::npos) << body;
+  // Publish cost and the size of what it pre-rendered.
+  EXPECT_NE(body.find("jocl_publish_seconds_count 1\n"), std::string::npos)
+      << body;
+  const std::string arena_line =
+      "jocl_response_arena_bytes " +
+      std::to_string(BuildResponseCache(*store_).arena_bytes()) + "\n";
+  EXPECT_NE(body.find(arena_line), std::string::npos) << body;
 
   // /metrics itself lands on the scrape counter, not the data path.
   const ServeCounters counters = server.counters();
@@ -827,35 +839,174 @@ TEST(HttpUtilTest, DuplicateQueryKeysKeepFirstMatch) {
 
 // ---------- pre-rendered response cache --------------------------------------
 
-TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
-  const ResponseCache cache = BuildResponseCache(*store_);
-  ASSERT_FALSE(cache.empty());
-  EXPECT_GT(cache.arena_bytes(), 0u);
+namespace {
+
+/// One phrase space of a store assembled field by field, for shapes
+/// decoding never produces: `clusters[c]` lists the member surface ids
+/// of cluster c (ascending); a surface's cluster list is every cluster
+/// it is a member of.
+struct HandSection {
+  std::vector<std::string> surfaces;
+  std::vector<std::vector<uint32_t>> clusters;
+};
+
+void FillHandSection(const HandSection& hand, CanonStore* store,
+                     CanonSection* section) {
+  const auto intern = [store](std::string_view text) {
+    store->text_pool.insert(store->text_pool.end(), text.begin(), text.end());
+    store->text_offset.push_back(store->text_pool.size());
+    return static_cast<uint32_t>(store->text_offset.size() - 2);
+  };
+  const size_t ns = hand.surfaces.size();
+  for (size_t s = 0; s < ns; ++s) {
+    section->surface_text.push_back(intern(hand.surfaces[s]));
+    section->surface_order.push_back(static_cast<uint32_t>(s));
+    section->surface_mentions.push_back(s + 1);
+  }
+  std::sort(section->surface_order.begin(), section->surface_order.end(),
+            [&](uint32_t a, uint32_t b) {
+              return hand.surfaces[a] < hand.surfaces[b];
+            });
+  section->surface_cluster_offset.push_back(0);
+  for (size_t s = 0; s < ns; ++s) {
+    for (size_t c = 0; c < hand.clusters.size(); ++c) {
+      const std::vector<uint32_t>& members = hand.clusters[c];
+      if (std::find(members.begin(), members.end(), s) != members.end()) {
+        section->surface_clusters.push_back(static_cast<uint32_t>(c));
+      }
+    }
+    section->surface_cluster_offset.push_back(
+        section->surface_clusters.size());
+  }
+  section->cluster_member_offset.push_back(0);
+  for (size_t c = 0; c < hand.clusters.size(); ++c) {
+    const std::vector<uint32_t>& members = hand.clusters[c];
+    section->cluster_members.insert(section->cluster_members.end(),
+                                    members.begin(), members.end());
+    section->cluster_member_offset.push_back(
+        section->cluster_members.size());
+    // Every third cluster is NIL; the others link to a name that needs
+    // JSON escapes.
+    const bool nil = c % 3 == 0;
+    section->cluster_link.push_back(nil ? kNilId
+                                        : static_cast<int64_t>(100 + c));
+    section->cluster_link_name.push_back(
+        nil ? int64_t{-1}
+            : int64_t{intern("linked \"" + std::to_string(c) + "\"\\")});
+    section->cluster_link_votes.push_back(members.size());
+  }
+}
+
+CanonStore HandBuiltStore(const HandSection& np, const HandSection& rp,
+                          uint64_t generation) {
+  CanonStore store;
+  store.text_offset.push_back(0);
+  store.generation = generation;
+  store.triple_count = np.surfaces.size() + rp.surfaces.size();
+  FillHandSection(np, &store, &store.np);
+  FillHandSection(rp, &store, &store.rp);
+  return store;
+}
+
+/// Surfaces in zero, one, two, the most gathered and more than the most
+/// gathered clusters, with member text that needs JSON and URL escapes.
+CanonStore EdgeCaseStore() {
+  const uint32_t k = static_cast<uint32_t>(ResponseCache::kMaxGatheredClusters);
+  HandSection np;
+  np.surfaces = {"plain",
+                 "quote \" backslash \\ control \x01 end",
+                 "in two clusters",
+                 "in no cluster",
+                 "wide",
+                 "widest gathered",
+                 "tab\there\nnewline",
+                 "a&b=c%d+e?f"};
+  np.clusters = {{0, 1, 2}, {2, 6}};
+  // Surfaces 5 and 7 are in exactly k clusters (the largest gathered
+  // answer); surface 4 is in k + 1 (written contiguously).
+  for (uint32_t c = 0; c < k; ++c) np.clusters.push_back({4, 5, 7});
+  np.clusters.push_back({4});
+  HandSection rp;
+  rp.surfaces = {"rel \"quoted\"", "rel two", "rel alone"};
+  rp.clusters = {{0, 1}, {1}};
+  return HandBuiltStore(np, rp, /*generation=*/42);
+}
+
+std::string CachedHead(size_t body_len, uint64_t generation) {
+  return "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+         "Content-Length: " +
+         std::to_string(body_len) +
+         "\r\nX-Jocl-Generation: " + std::to_string(generation) + "\r\n";
+}
+
+std::string GatheredBody(const ResponseCache::Hit& hit) {
+  std::string body;
+  for (size_t i = 1; i < hit.count; ++i) body.append(hit.pieces[i]);
+  return body;
+}
+
+/// Every /lookup, /link and /cluster target of both kinds: the cache
+/// must hit, and head + gathered body must equal the renderer's answer.
+void ExpectEveryTargetMatchesRenderer(const CanonStore& store,
+                                      const std::string& label) {
+  const ResponseCache cache = BuildResponseCache(store);
   const ServeCounters no_counters;
   char scratch[2048];
-  const std::vector<std::string> hot_targets = {
-      "/lookup?surface=UMD",
-      "/lookup?surface=University%20of%20Maryland&kind=np",
-      "/link?surface=University%20of%20Maryland",
-      "/cluster?id=0",
-      "/cluster?id=0&kind=rp",
-  };
-  for (const std::string& target : hot_targets) {
+  size_t checked = 0;
+  const auto check = [&](const std::string& target) {
+    SCOPED_TRACE(label + " " + target);
     ResponseCache::Hit hit;
-    ASSERT_TRUE(cache.Find("GET", target, scratch, sizeof(scratch), &hit))
-        << target;
+    ASSERT_TRUE(cache.Find("GET", target, scratch, sizeof(scratch), &hit));
+    ASSERT_GE(hit.count, 2u);
+    ASSERT_LE(hit.count, CachedResponse::kMaxPieces);
     int status = 0;
     const std::string rendered =
-        HandleCanonRequest(store_, "GET", target, no_counters, &status);
-    ASSERT_EQ(status, 200) << target;
-    EXPECT_EQ(hit.body, rendered) << target;
-    EXPECT_NE(hit.header.find("Content-Length: " +
-                              std::to_string(rendered.size())),
-              std::string_view::npos)
-        << hit.header;
+        HandleCanonRequest(&store, "GET", target, no_counters, &status);
+    ASSERT_EQ(status, 200);
+    EXPECT_EQ(GatheredBody(hit), rendered);
+    EXPECT_EQ(hit.pieces[0], CachedHead(rendered.size(), store.generation));
+    ++checked;
+  };
+  for (CanonKind kind : {CanonKind::kNp, CanonKind::kRp}) {
+    const std::string kind_param =
+        kind == CanonKind::kNp ? "&kind=np" : "&kind=rp";
+    const CanonSection& section = store.section(kind);
+    for (size_t s = 0; s < section.surface_count(); ++s) {
+      const std::string surface = UrlEncode(store.SurfaceText(kind, s));
+      check("/lookup?surface=" + surface + kind_param);
+      check("/link?surface=" + surface + kind_param);
+      if (kind == CanonKind::kNp) check("/lookup?surface=" + surface);
+    }
+    for (size_t c = 0; c < section.cluster_count(); ++c) {
+      check("/cluster?id=" + std::to_string(store.GlobalClusterId(kind, c)) +
+            kind_param);
+    }
   }
+  EXPECT_EQ(checked, cache.entry_count() + store.np.surface_count()) << label;
+}
+
+}  // namespace
+
+TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
+  ExpectEveryTargetMatchesRenderer(*store_, "monolith");
+  for (uint32_t shards = 1; shards <= 4; ++shards) {
+    Result<std::vector<CanonStore>> split =
+        BuildShardedCanonStores(*store_, shards);
+    ASSERT_TRUE(split.ok()) << split.status();
+    for (const CanonStore& shard : split.ValueOrDie()) {
+      ExpectEveryTargetMatchesRenderer(
+          shard, "shard " + std::to_string(shard.shard_index) + "/" +
+                     std::to_string(shards));
+    }
+  }
+  const CanonStore edge = EdgeCaseStore();
+  ASSERT_TRUE(ValidateCanonStore(edge).ok());
+  ExpectEveryTargetMatchesRenderer(edge, "hand-built");
+
   // Everything else is a miss and falls back to the renderer: /stats,
   // unknown surfaces, malformed parameters, escaped keys, bad methods.
+  const ResponseCache cache = BuildResponseCache(*store_);
+  char scratch[2048];
   ResponseCache::Hit hit;
   EXPECT_FALSE(cache.Find("GET", "/stats", scratch, sizeof(scratch), &hit));
   EXPECT_FALSE(
@@ -871,35 +1022,77 @@ TEST_F(ServeWorld, CachedResponsesAreByteIdenticalToRenderedOnes) {
                           sizeof(scratch), &hit));
 }
 
+TEST(ResponseCacheTest, ArenaGrowsLinearlyWithClusterSize) {
+  // One cluster of n members: every member's /lookup shares the one
+  // rendered cluster object, so doubling n must about double the arena
+  // (a per-member copy of the member list would quadruple it).
+  const auto arena_bytes = [](uint32_t n) {
+    HandSection np;
+    np.clusters.emplace_back();
+    for (uint32_t s = 0; s < n; ++s) {
+      np.surfaces.push_back("member surface " + std::to_string(s));
+      np.clusters[0].push_back(s);
+    }
+    const CanonStore store = HandBuiltStore(np, HandSection{}, 1);
+    return BuildResponseCache(store).arena_bytes();
+  };
+  const size_t k = 400;
+  const double ratio = static_cast<double>(arena_bytes(2 * k)) /
+                       static_cast<double>(arena_bytes(k));
+  EXPECT_LE(ratio, 2.2) << "arena grows superlinearly with cluster size";
+  EXPECT_GE(ratio, 1.8);
+}
+
 TEST_F(ServeWorld, CachedHotPathDoesNotAllocate) {
   const ResponseCache cache = BuildResponseCache(*store_);
+  const CanonStore edge = EdgeCaseStore();
+  const ResponseCache edge_cache = BuildResponseCache(edge);
   const std::string raw_head =
       "GET /lookup?surface=University%20of%20Maryland HTTP/1.1\r\n"
       "Host: 127.0.0.1\r\nConnection: keep-alive\r\n\r\n";
   const std::string cluster_target = "/cluster?id=0";
+  const std::string widest_target = "/lookup?surface=widest%20gathered";
   char scratch[2048];
   ResponseCache::Hit hit;
-  // Warm-up, and prove these are hits at all.
+  // Warm-up, and prove these are hits at all — the last one with every
+  // piece of the fixed capacity in use.
   RequestHead head = ParseRequestHead(raw_head);
   ASSERT_TRUE(head.valid);
   ASSERT_TRUE(
       cache.Find(head.method, head.target, scratch, sizeof(scratch), &hit));
+  size_t per_round = hit.count;
   ASSERT_TRUE(
       cache.Find("GET", cluster_target, scratch, sizeof(scratch), &hit));
+  per_round += hit.count;
+  ASSERT_TRUE(
+      edge_cache.Find("GET", widest_target, scratch, sizeof(scratch), &hit));
+  ASSERT_EQ(hit.count, CachedResponse::kMaxPieces);
+  per_round += hit.count + 3;  // each gather adds the Connection tail
 
   // The steady-state serving path: parse head -> binary-search the
-  // cache (with a percent-escape decoded into stack scratch) -> hand
-  // the arena views to writev. Zero heap allocations, counted by the
+  // cache (with a percent-escape decoded into stack scratch) -> fill
+  // the gather list for sendmsg. Zero heap allocations, counted by the
   // replaced global operator new on this thread.
+  iovec iov[kCachedIovecs];
+  size_t gathered = 0;
   const uint64_t allocations_before = g_thread_allocations;
   for (int i = 0; i < 1000; ++i) {
     const RequestHead request = ParseRequestHead(raw_head);
     cache.Find(request.method, request.target, scratch, sizeof(scratch),
                &hit);
+    gathered += static_cast<size_t>(
+        FillCachedIovec(hit, "Connection: keep-alive\r\n\r\n", iov));
     cache.Find("GET", cluster_target, scratch, sizeof(scratch), &hit);
+    gathered += static_cast<size_t>(
+        FillCachedIovec(hit, "Connection: keep-alive\r\n\r\n", iov));
+    edge_cache.Find("GET", widest_target, scratch, sizeof(scratch), &hit);
+    gathered += static_cast<size_t>(
+        FillCachedIovec(hit, "Connection: close\r\n\r\n", iov));
   }
   EXPECT_EQ(g_thread_allocations, allocations_before)
       << "cached hot path allocated on the heap";
+  EXPECT_EQ(gathered, 1000 * per_round);
+  EXPECT_EQ(iov[kCachedIovecs - 1].iov_len, 2u);  // the closing "]}"
 }
 
 // ---------- keep-alive over real sockets -------------------------------------
@@ -1174,6 +1367,148 @@ TEST_F(ServeWorld, PrerenderOffServesIdenticalBytesToPrerenderOn) {
   EXPECT_EQ(rendered_server.counters().cache_hits, 0u);
   cached_server.Stop();
   rendered_server.Stop();
+}
+
+namespace {
+
+/// The server-side end of a loopback connection this process opened:
+/// the socket whose local address is \p client's peer and whose peer is
+/// \p client. Polls until the event loop has accepted it; -1 on timeout.
+int FindAcceptedSocket(int client) {
+  sockaddr_in client_local;
+  sockaddr_in client_peer;
+  socklen_t len = sizeof(client_local);
+  if (::getsockname(client, reinterpret_cast<sockaddr*>(&client_local),
+                    &len) != 0) {
+    return -1;
+  }
+  len = sizeof(client_peer);
+  if (::getpeername(client, reinterpret_cast<sockaddr*>(&client_peer),
+                    &len) != 0) {
+    return -1;
+  }
+  const auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_family == b.sin_family && a.sin_port == b.sin_port &&
+           a.sin_addr.s_addr == b.sin_addr.s_addr;
+  };
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    for (int fd = 0; fd < 1024; ++fd) {
+      if (fd == client) continue;
+      sockaddr_in local;
+      sockaddr_in peer;
+      socklen_t local_len = sizeof(local);
+      socklen_t peer_len = sizeof(peer);
+      if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local),
+                        &local_len) != 0 ||
+          local_len != sizeof(local) ||
+          ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) !=
+              0 ||
+          peer_len != sizeof(peer)) {
+        continue;
+      }
+      if (same(local, client_peer) && same(peer, client_local)) return fd;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+}  // namespace
+
+TEST(ResponseCacheTest, SlowReaderGetsGatheredLookupIntactAcrossPartialWrites) {
+  // A surface in three large clusters: its /lookup answer is a 7-piece
+  // gather (head, Connection tail, prefix, three shared slices, "]}") of
+  // a few hundred KB — far more than the tiny socket buffers below hold,
+  // so the server's sendmsg stops mid-gather and QueueOrSend copies the
+  // remainder, starting inside some piece, onto the connection.
+  HandSection np;
+  np.surfaces.push_back("hub");
+  np.clusters.resize(3);
+  for (uint32_t c = 0; c < 3; ++c) np.clusters[c].push_back(0);
+  for (uint32_t s = 1; s <= 3000; ++s) {
+    np.surfaces.push_back("member \"" + std::to_string(s) +
+                          "\" of a deliberately long surface form");
+    np.clusters[s % 3].push_back(s);
+  }
+  auto store =
+      std::make_shared<const CanonStore>(HandBuiltStore(np, HandSection{}, 9));
+  ServeOptions options;
+  options.num_workers = 1;
+  CanonServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  server.Publish(store);
+
+  const ServeCounters no_counters;
+  const std::string lookup = "/lookup?surface=hub";
+  const std::string link = "/link?surface=hub";
+  int status = 0;
+  const std::string lookup_body =
+      HandleCanonRequest(store.get(), "GET", lookup, no_counters, &status);
+  ASSERT_EQ(status, 200);
+  const std::string link_body =
+      HandleCanonRequest(store.get(), "GET", link, no_counters, &status);
+  ASSERT_EQ(status, 200);
+  const auto response = [](const std::string& body, const char* connection) {
+    return CachedHead(body.size(), 9) + "Connection: " + connection +
+           "\r\n\r\n" + body;
+  };
+  // Two pipelined lookups (the second queues behind the first's
+  // remainder) and a closing /link, so EOF frames the stream.
+  const std::string expected = response(lookup_body, "keep-alive") +
+                               response(lookup_body, "keep-alive") +
+                               response(link_body, "close");
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const int server_fd = FindAcceptedSocket(fd);
+  ASSERT_GE(server_fd, 0);
+  ASSERT_EQ(
+      ::setsockopt(server_fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+      0);
+
+  ASSERT_TRUE(SendRaw(fd, "GET " + lookup + " HTTP/1.1\r\nHost: h\r\n\r\n" +
+                              "GET " + lookup +
+                              " HTTP/1.1\r\nHost: h\r\n\r\n" + "GET " + link +
+                              " HTTP/1.1\r\nHost: h\r\nConnection: close\r\n"
+                              "\r\n"));
+  // Give the event loop time to answer all three; what the kernel holds
+  // then (both socket buffers) must be less than the answers, proving
+  // the rest waits in the connection's user-space queue.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  int unsent = 0;
+  int unread = 0;
+  ASSERT_EQ(::ioctl(server_fd, SIOCOUTQ, &unsent), 0);
+  ASSERT_EQ(::ioctl(fd, FIONREAD, &unread), 0);
+  EXPECT_LT(static_cast<size_t>(unsent) + static_cast<size_t>(unread),
+            expected.size());
+
+  // The slow reader: small reads, pausing now and then, so the server
+  // drains its queue over many EPOLLOUT rounds.
+  std::string received;
+  char buffer[1500];
+  for (int reads = 0;; ++reads) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<size_t>(n));
+    if (reads % 64 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected) << "gathered bytes differ from reference";
+  server.Stop();
 }
 
 // ---------- acceptance: keep-alive + cached path across republish ------------
