@@ -23,7 +23,7 @@ namespace jocl {
 ///
 /// **Byte-identity contract.** For any batch sequence reaching an active
 /// set A, `Apply` emits a `JoclProblem` byte-identical to
-/// `BuildProblem(dataset, signals, A, options, cache)` (property-tested
+/// `BuildProblem(dataset, signals, A, options)` (property-tested
 /// in tests/session_test.cc). The invariants that make this hold:
 ///
 ///  * Surfaces, reps and candidate lists are pure functions of A
@@ -44,23 +44,14 @@ namespace jocl {
 ///
 /// The builder also emits the batch's `FrontEndDelta` (stable surface
 /// ids + admitted-pair transitions) for the `IncrementalPartitioner`,
-/// and mirrors `ProblemCache` hit/miss counters exactly as the memoized
-/// scratch build would count them — on the calling thread only, so the
-/// parallel candidate prefill cannot double-count (misses are counted
-/// per consulted surface, not per fill).
+/// and counts candidate-list hits and misses per consulted surface (see
+/// `candidate_hits`) — on the calling thread only, so the parallel
+/// candidate prefill cannot double-count.
 class ProblemBuilder {
  public:
-  /// \p dataset and \p signals must outlive the builder. \p cache (may be
-  /// null) is the session's persistent candidate memo: the builder fills
-  /// it for new surfaces and mirrors its hit/miss counters.
+  /// \p dataset and \p signals must outlive the builder.
   ProblemBuilder(const Dataset* dataset, const SignalBundle* signals,
-                 const ProblemOptions& options, ProblemCache* cache);
-
-  /// False when \p options selects a blocking stage the incremental path
-  /// does not model (embedding-neighbor blocking, whose admission depends
-  /// on a global emission cap) — callers fall back to scratch
-  /// `BuildProblem`.
-  static bool Supports(const ProblemOptions& options);
+                 const ProblemOptions& options);
 
   /// Applies one batch. \p added / \p removed are disjoint sorted dataset
   /// triple ids; \p active is the post-update active set (sorted). Emits
@@ -79,6 +70,15 @@ class ProblemBuilder {
   /// what the session's delta signal-cache registration walks.
   const std::vector<uint32_t>& new_np_sids() const { return new_np_sids_; }
   const std::vector<uint32_t>& new_rp_sids() const { return new_rp_sids_; }
+
+  /// Candidate lists the last emitted problem consulted, one per subject,
+  /// object and predicate surface. A miss is a surface's first
+  /// consultation over the builder's lifetime (NP surfaces share one
+  /// count across the subject and object roles); every later one is a
+  /// hit. So over a replay the misses sum to the distinct NP plus RP
+  /// surfaces ever emitted.
+  size_t candidate_hits() const { return candidate_hits_; }
+  size_t candidate_misses() const { return candidate_misses_; }
 
   const std::string& np_surface(uint32_t sid) const {
     return np_meta_[sid].surface;
@@ -114,14 +114,14 @@ class ProblemBuilder {
     std::optional<std::string> ppdb_rep;
     std::vector<EntityCandidate> candidates;
     std::vector<int64_t> blocking_ids;  ///< top-k candidate entity ids
-    bool in_problem_cache = false;      ///< consulted-counter mirror state
+    bool consulted = false;  ///< emitted before: later consults are hits
   };
   struct RpMeta {
     std::string surface;
     std::vector<std::pair<std::string, uint32_t>> tokens;
     std::optional<std::string> ppdb_rep;
     std::vector<RelationCandidate> candidates;
-    bool in_problem_cache = false;
+    bool consulted = false;
   };
 
   /// One blocking bucket: active members with occurrence counts (token
@@ -199,7 +199,6 @@ class ProblemBuilder {
   const Dataset* dataset_;
   const SignalBundle* signals_;
   ProblemOptions options_;
-  ProblemCache* cache_;
 
   std::unordered_map<std::string, uint32_t> np_index_;
   std::unordered_map<std::string, uint32_t> rp_index_;
@@ -214,6 +213,8 @@ class ProblemBuilder {
 
   std::vector<uint32_t> new_np_sids_;
   std::vector<uint32_t> new_rp_sids_;
+  size_t candidate_hits_ = 0;
+  size_t candidate_misses_ = 0;
 };
 
 }  // namespace jocl

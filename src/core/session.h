@@ -18,26 +18,11 @@ struct SessionOptions {
   /// Worker threads running dirty shards: 1 = sequential, 0 = one per
   /// hardware thread. Purely an execution choice.
   size_t num_threads = 0;
-  /// Warm-start dirty shards' LBP from the previous batch's beliefs.
-  /// **Approximate**: a warm-started run approaches the same fixed point
-  /// within the LBP tolerance but is not bit-identical to a cold run, so
-  /// the cold-restart equivalence guarantee only holds with this off
-  /// (the default). Reuse of *clean* shards — where the speedup comes
-  /// from — is exact either way.
-  bool warm_start = false;
   /// A cached component unused for this many consecutive batches is
   /// evicted. Retention matters: a removal that splits a shard often
   /// restores components solved *before* the merge, and retaining them
   /// makes the split free.
   size_t stale_retention = 8;
-  /// Run the O(Δ) front-end: the persistent `ProblemBuilder` +
-  /// `IncrementalPartitioner` pair instead of a from-scratch
-  /// `BuildProblem` + `PartitionProblem` per batch. Byte-identical output
-  /// (property-tested); off reproduces the legacy rebuild path exactly —
-  /// the baseline `bench_incremental` gates speedups against. Ignored
-  /// (scratch path) when the problem options select a blocking stage the
-  /// incremental builder does not model (`ProblemBuilder::Supports`).
-  bool incremental_frontend = true;
   /// Worker threads for the front-end's parallel stages (candidate
   /// generation, similarity evaluation, dirty-shard materialization):
   /// 1 = sequential, 0 = one per hardware thread. Results are
@@ -64,12 +49,12 @@ struct SessionStats {
   size_t cache_new_phrases = 0;    ///< phrases newly ingested by the cache
   size_t variables = 0;            ///< across dirty-shard graphs only
   size_t factors = 0;
-  size_t warm_hints = 0;           ///< variables seeded from old beliefs
-  /// Memoized candidate-generation lookups this batch (ProblemCache):
-  /// a healthy incremental batch is hit-dominated — misses only for
-  /// genuinely new surfaces. A miss-heavy steady state is an
-  /// incremental-ingestion regression (jocl_stream reports these per
-  /// batch for CI visibility).
+  /// Candidate lists the emitted problem consulted this batch, one per
+  /// subject, object and predicate surface: a miss is a surface's first
+  /// consultation in the session (its candidates were generated this
+  /// batch), a hit every later one. A healthy incremental batch is
+  /// hit-dominated; a miss-heavy steady state is an incremental-ingestion
+  /// regression (jocl_stream reports these per batch for CI visibility).
   size_t problem_cache_hits = 0;
   size_t problem_cache_misses = 0;
   /// True when the batch skipped the front-end entirely because the
@@ -101,12 +86,12 @@ struct SessionStats {
 /// function of the active triple set (blocking statistics and candidate
 /// generation are dataset-global, not subset-dependent), per-component
 /// beliefs are a pure function of the local problem + weights, and the
-/// decode runs globally. Hence, with `warm_start` off, a session that
-/// reached an active set through *any* sequence of batches produces a
-/// result byte-identical to one-shot `JoclRuntime::Infer` over that set
-/// (asserted for K ∈ {1, 4, 16} ingestion batches in
-/// `tests/session_test.cc`). Reuse is guarded by structural equality of
-/// the cached local problem, never by a fingerprint, so the guarantee
+/// decode runs globally. Hence a session that reached an active set
+/// through *any* sequence of batches produces a result byte-identical to
+/// one-shot `JoclRuntime::Infer` over that set (asserted for
+/// K ∈ {1, 4, 16} ingestion batches in `tests/session_test.cc`). Reuse
+/// is guarded by structural equality of the cached local problem
+/// (`ShardMatchesCached`), never by a fingerprint, so the guarantee
 /// survives global blocking-cap effects.
 ///
 /// The decode stage stays global: cluster labels are globally dense, so
@@ -143,9 +128,9 @@ class JoclSession {
   /// callback — the learn → infer → serve loop's last hop, letting a
   /// retrain reach a live `jocl_serve` store without restarting the
   /// session. Identical weights are a no-op (result and generation
-  /// unchanged). With `warm_start` off, the refreshed state is
-  /// byte-identical to a cold session built with \p weights from the
-  /// start (tested in tests/learner_runtime_test.cc).
+  /// unchanged). The refreshed state is byte-identical to a cold session
+  /// built with \p weights from the start (tested in
+  /// tests/learner_runtime_test.cc).
   Status UpdateWeights(std::vector<double> weights,
                        SessionStats* stats = nullptr);
 
@@ -204,10 +189,8 @@ class JoclSession {
 
   std::vector<size_t> active_;  ///< sorted, deduplicated
   SignalCache cache_;           ///< append-only, spans all batches
-  ProblemCache problem_cache_;  ///< memoized candidate generation
 
-  /// The O(Δ) front-end pair (lazily constructed on the first batch;
-  /// null when `incremental_frontend` is off or unsupported).
+  /// The O(Δ) front-end pair (lazily constructed on the first batch).
   std::unique_ptr<ProblemBuilder> builder_;
   std::unique_ptr<IncrementalPartitioner> partitioner_;
   /// Whether the previous non-reuse batch truncated the pair lists. A

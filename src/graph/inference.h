@@ -153,21 +153,6 @@ class InferenceEngine {
   /// Executes inference; query methods below are valid afterwards.
   virtual LbpResult Run() = 0;
 
-  /// Optional warm start: prior marginals for a subset of variables,
-  /// supplied before Run(). Backends may seed their initial messages from
-  /// the priors so convergence needs fewer sweeps (the streaming session
-  /// feeds a dirty shard its previous beliefs this way); the default
-  /// implementation ignores the hint. A warm-started run approaches the
-  /// same fixed point within tolerance but is NOT bit-identical to a
-  /// cold run — callers needing exact restart semantics must not warm
-  /// start. Entries whose cardinality does not match the variable are
-  /// ignored.
-  virtual void WarmStart(const std::vector<VariableId>& variables,
-                         const std::vector<std::vector<double>>& priors) {
-    (void)variables;
-    (void)priors;
-  }
-
   /// Marginal of one variable (valid after Run()).
   virtual const std::vector<double>& Marginal(VariableId id) const = 0;
 
@@ -196,12 +181,9 @@ class InferenceEngine {
 
 /// \brief Which InferenceEngine implementation to instantiate.
 enum class InferenceBackend {
-  /// FlatLbpEngine, sequential execution (num_threads forced to 1).
-  kLbp,
-  /// FlatLbpEngine, component-parallel execution. num_threads is honored
-  /// as documented on LbpOptions (1 = sequential, 0 = auto-size) —
-  /// callers wanting parallelism set it alongside this backend, as
-  /// JoclOptions does.
+  /// FlatLbpEngine. Its thread count is LbpOptions::num_threads alone
+  /// (1 = sequential, the default; 0 = auto-size) — callers wanting
+  /// parallelism set it, as JoclOptions does.
   kParallelLbp,
   /// ExactEngine — joint enumeration, tiny graphs only.
   kExact,

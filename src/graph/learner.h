@@ -22,12 +22,13 @@ struct LearnerOptions {
   double l2 = 0.0;
   /// Stop when the gradient max-norm falls below this.
   double gradient_tolerance = 1e-4;
-  /// Inference settings shared by the clamped and free passes.
+  /// Inference settings shared by the clamped and free passes (default
+  /// `lbp.num_threads = 1`: sequential).
   LbpOptions lbp;
   /// Which engine approximates the expectations. The graph is compiled
   /// once per Learn() call and shared by every pass — clamping labels is
   /// not a structural change.
-  InferenceBackend backend = InferenceBackend::kLbp;
+  InferenceBackend backend = InferenceBackend::kParallelLbp;
 };
 
 /// \brief Progress record for one learning iteration.

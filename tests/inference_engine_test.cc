@@ -283,8 +283,8 @@ TEST(EngineEquivalenceTest, ExpectedFeaturesBitIdenticalAcrossThreadCounts) {
 // ---------- LBP vs exact through the common interface ------------------------
 
 TEST(EngineInterfaceTest, LbpBackendsMatchExactOnTree) {
-  // Small tree with a clamp: every backend of the factory must agree
-  // (LBP is exact on trees).
+  // Small tree with a clamp: the LBP backend must agree with the exact
+  // one at every thread count (LBP is exact on trees).
   FactorGraph g;
   g.set_weight_count(1);
   VariableId a = g.AddVariable(2);
@@ -301,9 +301,11 @@ TEST(EngineInterfaceTest, LbpBackendsMatchExactOnTree) {
   LbpResult exact_result = exact->Run();
   EXPECT_TRUE(exact_result.converged);
 
-  for (InferenceBackend backend :
-       {InferenceBackend::kLbp, InferenceBackend::kParallelLbp}) {
-    auto engine = CreateInferenceEngine(backend, &g, &w);
+  for (size_t threads : {1u, 2u}) {
+    LbpOptions options;
+    options.num_threads = threads;
+    auto engine =
+        CreateInferenceEngine(InferenceBackend::kParallelLbp, &g, &w, options);
     LbpResult result = engine->Run();
     ASSERT_EQ(result.marginals.size(), exact_result.marginals.size());
     for (VariableId v = 0; v < g.variable_count(); ++v) {
